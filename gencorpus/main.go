@@ -221,6 +221,18 @@ func main() {
 	write(ts, "seed-punctuation", `string(":,")`)
 	write(ts, "seed-non-numeric", `string("axb:c,d")`)
 
+	// internal/topo: single-pass all-to-all costers against the
+	// reference sweeps. Args: specSel (flat, 8x4, 128x8), n, off,
+	// stride (bit 7 = node-uniform group), pairKind (dense, sparse,
+	// signed, regrid), seed.
+	aa := "internal/topo/testdata/fuzz/FuzzAllToAllCost"
+	write(aa, "seed-flat-dense", bytesArgs(0, 13, 0, 0, 0, 1)...)
+	write(aa, "seed-8x4-regrid", bytesArgs(1, 32, 0, 0, 3, 2)...)
+	write(aa, "seed-128x8-uniform", bytesArgs(2, 23, 4, 0x80, 1, 3)...)
+	write(aa, "seed-128x8-strided-signed", bytesArgs(2, 70, 9, 2, 2, 4)...)
+	write(aa, "seed-single-member", bytesArgs(1, 1, 7, 3, 0, 5)...)
+	write(aa, "seed-8x4-offset-non-pow2", bytesArgs(1, 11, 5, 0, 2, 6)...)
+
 	// internal/serve: traffic-spec grammar (parse/String fixed point).
 	// Valid specs across the parameter ranges plus malformed shapes the
 	// parser must reject.

@@ -32,9 +32,9 @@ type Census struct {
 	Slow []float64
 	// ABCPairs and NNZABC carry the KSpMMABC structural census: result
 	// rows shipped r→q and each rank's partial-aggregation stored-entry
-	// work. ApproxCensus fills them analytically whenever R_A == P (the
-	// op's validity precondition); schedules without ABC ops ignore
-	// them.
+	// work. ApproxCensus fills them analytically when R_A == P (the
+	// op's validity precondition) and the schedule holds a KSpMMABC op;
+	// schedules without ABC ops ignore them.
 	ABCPairs [][]int64
 	NNZABC   []int64
 }
@@ -53,7 +53,7 @@ func (s *Schedule) ApproxCensus(nnz int64) Census {
 		c.NNZFwd[r] = panel
 		c.NNZBwd[r] = panel
 	}
-	if s.RA == s.P {
+	if s.RA == s.P && s.CountKind(KSpMMABC) > 0 {
 		c.ABCPairs, c.NNZABC = s.ApproxABCPairs(nnz)
 	}
 	return c

@@ -16,8 +16,9 @@ import (
 // redistribution's P×P byte census and its topology-routed all-to-all
 // cost exactly once. At P=4096 this is the difference between a sweep
 // in seconds and one in hours: a single regrid census touches 16.7M
-// tile pairs, and the topology autotuner's Bruck coster evaluates
-// O(P² log P) pair volumes.
+// tile pairs, and the topology autotuner reads each of the P² pair
+// volumes once per coster (ring, Bruck, hierarchical), with Bruck
+// scattering each into the O(log P) rounds its offset selects.
 //
 // A cache binds to one (P, hardware model, topology) context on first
 // use and panics if reused under a different one — memoized costs are
@@ -170,7 +171,7 @@ func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool)
 // pairFn returns the per-pair byte function of a from→to regrid over
 // the cached range tables — the same census Schedule.pairFn computes
 // via dist.TileOverlap, without the per-call range recomputation the
-// topology costers would otherwise repeat O(P² log P) times.
+// topology costers would otherwise repeat for every pair they read.
 func (c *PriceCache) pairFn(from, to dist.Layout, rows, cols int, packed bool) func(i, j int) int64 {
 	fr := c.rangesFor(from, rows, cols)
 	tr := c.rangesFor(to, rows, cols)

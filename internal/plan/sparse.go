@@ -252,11 +252,19 @@ func abcPairRows(rowsQ, liveR int, edgeP float64) int64 {
 // NNZABC[r] the stored entries of the adjacency columns selected by
 // rank r's live rows (the partial-aggregation kernel's work). Use the
 // engine's graph-derived census when exact equality matters; this is
-// the synthetic-sweep estimate.
+// the synthetic-sweep estimate. abcPairRows depends on q only through
+// its row count, and block row ranges are at most two runs of equal
+// sizes, so re-evaluating it only where the size changes makes O(P)
+// Pow calls per census, not O(P²).
 func (s *Schedule) ApproxABCPairs(nnz int64) (pairs [][]int64, nnzABC []int64) {
 	p := s.P
 	live := s.LiveSet()
 	edgeP := float64(nnz) / (float64(s.N) * float64(s.N))
+	rows := make([]int, p)
+	for q := range rows {
+		lo, hi := dist.RowRange(dist.H, p, q, s.N)
+		rows[q] = hi - lo
+	}
 	pairs = make([][]int64, p)
 	nnzABC = make([]int64, p)
 	for r := 0; r < p; r++ {
@@ -264,9 +272,12 @@ func (s *Schedule) ApproxABCPairs(nnz int64) (pairs [][]int64, nnzABC []int64) {
 		liveR := liveCountIn(live, rlo, rhi)
 		nnzABC[r] = nnz * int64(liveR) / int64(s.N)
 		pairs[r] = make([]int64, p)
-		for q := 0; q < p; q++ {
-			qlo, qhi := dist.RowRange(dist.H, p, q, s.N)
-			pairs[r][q] = abcPairRows(qhi-qlo, liveR, edgeP)
+		prev, v := -1, int64(0)
+		for q, n := range rows {
+			if n != prev {
+				prev, v = n, abcPairRows(n, liveR, edgeP)
+			}
+			pairs[r][q] = v
 		}
 	}
 	return pairs, nnzABC

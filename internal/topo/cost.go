@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gnnrdm/internal/hw"
 )
@@ -155,9 +156,14 @@ func (t *Topology) ringBroadcast(h *hw.Model, group []int, rootIdx int, bytes in
 // bytes position i sends position j (i ≠ j; self pairs are ignored).
 func (t *Topology) ringAllToAll(h *hw.Model, group []int, pair func(i, j int) int64) Cost {
 	p := len(group)
+	node := make([]int, p)
+	for i, r := range group {
+		node[i] = t.NodeOf(r)
+	}
 	var c Cost
 	var maxInj int64
 	for i := 0; i < p; i++ {
+		ni := node[i]
 		var inj int64
 		for j := 0; j < p; j++ {
 			if j == i {
@@ -167,7 +173,11 @@ func (t *Topology) ringAllToAll(h *hw.Model, group []int, pair func(i, j int) in
 			if b <= 0 {
 				continue
 			}
-			c.Tier[t.Tier(group[i], group[j])] += b
+			if node[j] == ni {
+				c.Tier[TierIntra] += b
+			} else {
+				c.Tier[TierInter] += b
+			}
 			inj += b
 		}
 		if inj > maxInj {
@@ -298,42 +308,65 @@ func (t *Topology) rhdReduceScatter(h *hw.Model, group []int, counts []int64) Co
 // bruckAllToAll prices the Bruck log-round all-to-all (any group
 // size): the block for offset o = (dst−src) mod p hops at every set
 // bit of o, so total volume exceeds direct exchange by the popcount —
-// the classic latency-for-bandwidth trade.
+// the classic latency-for-bandwidth trade. Each pair is read once and
+// its bytes scattered into every round its offset selects: in round
+// d = 2^k the block leaves position v = src + (o mod d), whose link to
+// v+d is tabulated per round. Per-round sums are integers, so their
+// order does not matter; round times are added in ascending d, the
+// schedule's own order, which fixes the float sum.
 func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pair func(i, j int) int64) Cost {
 	p := len(group)
-	var c Cost
-	any := false
-	for d := 1; d < p; d *= 2 {
-		inj := make([]int64, p)
-		var tb [NumTiers]int64
-		wt := TierIntra
-		for s := 0; s < p; s++ {
-			for dst := 0; dst < p; dst++ {
-				if dst == s {
-					continue
+	nr := bits.Len(uint(p - 1)) // rounds d = 1, 2, 4, … < p
+	inj := make([]int64, nr*p)
+	tier := make([]int8, nr*p)
+	tb := make([][NumTiers]int64, nr)
+	wt := make([]int8, nr)
+	for k := 0; k < nr; k++ {
+		d := 1 << k
+		for v := 0; v < p; v++ {
+			w := v + d
+			if w >= p {
+				w -= p
+			}
+			tier[k*p+v] = int8(t.Tier(group[v], group[w]))
+		}
+	}
+	for s := 0; s < p; s++ {
+		for dst := 0; dst < p; dst++ {
+			if dst == s {
+				continue
+			}
+			b := pair(s, dst)
+			if b <= 0 {
+				continue
+			}
+			o := dst - s
+			if o < 0 {
+				o += p
+			}
+			for rest := uint(o); rest != 0; rest &= rest - 1 {
+				k := bits.TrailingZeros(rest)
+				v := s + o&(1<<k-1)
+				if v >= p {
+					v -= p
 				}
-				o := (dst - s + p) % p
-				if o&d == 0 {
-					continue
+				i := k*p + v
+				inj[i] += b
+				tr := tier[i]
+				tb[k][tr] += b
+				if tr > wt[k] {
+					wt[k] = tr
 				}
-				b := pair(s, dst)
-				if b <= 0 {
-					continue
-				}
-				v := (s + o&(d-1)) % p
-				w := (v + d) % p
-				tier := t.Tier(group[v], group[w])
-				tb[tier] += b
-				if tier > wt {
-					wt = tier
-				}
-				inj[v] += b
 			}
 		}
-		link := t.model(h, wt)
-		c.Time += link.LinkLatency + float64(maxOf(inj))/link.LinkBandwidth
-		c.addTier(tb)
-		any = any || tb[TierIntra]+tb[TierInter] > 0
+	}
+	var c Cost
+	any := false
+	for k := 0; k < nr; k++ {
+		link := t.model(h, int(wt[k]))
+		c.Time += link.LinkLatency + float64(maxOf(inj[k*p:(k+1)*p]))/link.LinkBandwidth
+		c.addTier(tb[k])
+		any = any || tb[k][TierIntra]+tb[k][TierInter] > 0
 	}
 	if !any {
 		return Cost{Time: h.KernelLaunch}
@@ -494,6 +527,8 @@ func (t *Topology) hierAllToAll(h *hw.Model, group []int, pair func(i, j int) in
 	g := len(nodes[0])
 	m := len(nodes)
 	pos := func(j, a int) int { return j*g + a }
+	// One pass over the cross-node pairs: what each member sends and
+	// receives across nodes, and the node-to-node totals.
 	crossOut := make([][]int64, m)
 	crossIn := make([][]int64, m)
 	nodePair := make([][]int64, m)
@@ -501,24 +536,26 @@ func (t *Topology) hierAllToAll(h *hw.Model, group []int, pair func(i, j int) in
 		crossOut[j] = make([]int64, g)
 		crossIn[j] = make([]int64, g)
 		nodePair[j] = make([]int64, m)
+	}
+	for j := 0; j < m; j++ {
 		for a := 0; a < g; a++ {
-			for q := 0; q < m*g; q++ {
-				if q/g == j {
+			i := pos(j, a)
+			var out int64
+			for jj := 0; jj < m; jj++ {
+				if jj == j {
 					continue
 				}
-				crossOut[j][a] += pair(pos(j, a), q)
-				crossIn[j][a] += pair(q, pos(j, a))
-			}
-		}
-		for jj := 0; jj < m; jj++ {
-			if jj == j {
-				continue
-			}
-			for a := 0; a < g; a++ {
+				in := crossIn[jj]
+				var np int64
 				for b := 0; b < g; b++ {
-					nodePair[j][jj] += pair(pos(j, a), pos(jj, b))
+					v := pair(i, pos(jj, b))
+					in[b] += v
+					np += v
 				}
+				nodePair[j][jj] += np
+				out += np
 			}
+			crossOut[j][a] = out
 		}
 	}
 	var c Cost

@@ -145,28 +145,21 @@ func (t *Topology) model(h *hw.Model, tier int) *hw.Model {
 	return &m
 }
 
-// nodeGroups partitions a sorted group by node, preserving order.
-// ok reports whether the group is node-uniform and multi-node: at
-// least two nodes, every node contributing the same member count —
-// the shape the two-level hierarchical algorithms require.
+// nodeGroups partitions a sorted group by node, preserving order; each
+// part is a subslice of group, so callers must not modify it. ok
+// reports whether the group is node-uniform and multi-node: at least
+// two nodes, every node contributing the same member count — the shape
+// the two-level hierarchical algorithms require.
 func (t *Topology) nodeGroups(group []int) (nodes [][]int, ok bool) {
 	if t.Tiers == 1 {
 		return nil, false
 	}
-	var cur []int
-	curNode := -1
-	for _, r := range group {
-		n := t.NodeOf(r)
-		if n != curNode {
-			if cur != nil {
-				nodes = append(nodes, cur)
-			}
-			cur, curNode = nil, n
+	start := 0
+	for i := 1; i <= len(group); i++ {
+		if i == len(group) || t.NodeOf(group[i]) != t.NodeOf(group[start]) {
+			nodes = append(nodes, group[start:i])
+			start = i
 		}
-		cur = append(cur, r)
-	}
-	if cur != nil {
-		nodes = append(nodes, cur)
 	}
 	if len(nodes) < 2 {
 		return nodes, false
@@ -185,7 +178,7 @@ func (t *Topology) nodeGroups(group []int) (nodes [][]int, ok bool) {
 // two nodes, all contributing the same member count). The fabric uses
 // it to decide — consistently on every rank, from shared state only —
 // whether an explicitly requested hierarchical collective runs its
-// staged schedule.
+// staged schedule. The parts alias group and must not be modified.
 func (t *Topology) NodeGroups(group []int) ([][]int, bool) { return t.nodeGroups(group) }
 
 // Barrier returns the latency-only synchronization cost of a group:
