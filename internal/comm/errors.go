@@ -74,21 +74,6 @@ func (k Killed) String() string {
 	return fmt.Sprintf("rank %d killed: %s", k.Rank, k.Reason)
 }
 
-// IsFaultPanic reports whether a recovered panic value is fault-class:
-// either a Killed crash marker or an error whose chain contains a
-// *FaultError. Elastic drivers use it to separate scheduled failures
-// (recover and re-form the world) from genuine bugs (re-panic).
-func IsFaultPanic(r any) bool {
-	if _, ok := r.(Killed); ok {
-		return true
-	}
-	if err, ok := r.(error); ok {
-		var fe *FaultError
-		return errors.As(err, &fe)
-	}
-	return false
-}
-
 // CollectiveError describes a failed collective: the operation, the rank
 // reporting it, and the underlying cause (wrapping one of the sentinels
 // above).

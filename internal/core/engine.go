@@ -304,9 +304,6 @@ func (e *Engine) Weights() []*tensor.Dense { return e.weights }
 // recent epoch.
 func (e *Engine) LastLogits() *dist.Mat { return e.lastLogits }
 
-// LastLoss returns the most recent epoch's training loss.
-func (e *Engine) LastLoss() float64 { return e.lastLoss }
-
 // extractPanels slices this device's row panels out of the problem's
 // operators.
 func (e *Engine) extractPanels() {

@@ -16,8 +16,9 @@ import (
 // can run while the NIC drains an all-reduce bucket. One goroutine per
 // lane walks that lane's ops in schedule order, waiting on each op's
 // DAG dependencies and advancing the lane clock to the dependencies'
-// finish times before executing — exactly the occupancy model
-// PriceDAGOn simulates, which is why the live clocks equal the priced
+// finish times before executing — exactly the occupancy model of the
+// charge walk behind plan.PriceDAGOn and the sim backend
+// (plan.DAG.Replay), which is why the live clocks equal the priced
 // critical path. Numerics are untouched: each op runs the very same
 // execOp code, collectives keep their group-position reduction order,
 // and the DAG's write-after-read edges serialize every in-place mutation.

@@ -33,9 +33,10 @@ func (r Resource) String() string {
 }
 
 // Occupancy tracks one device's per-resource busy-until cursors during
-// critical-path pricing (plan.PriceDAGOn): each resource is a serial
-// timeline, so an op starts at max(its resource's cursor, its
-// dependencies' finish times) and advances only its own resource.
+// the charge walk (plan.DAG.Replay, behind plan.PriceDAGOn and the sim
+// backend): each resource is a serial timeline, so an op starts at
+// max(its resource's cursor, its dependencies' finish times) and
+// advances only its own resource.
 type Occupancy struct {
 	busy [NumResources]float64
 }

@@ -167,11 +167,10 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 				// (R_A == P), then the ranks run a two-round exchange of the
 				// structurally-touched result rows, summed on arrival. The
 				// structural census is the shared Erdős–Rényi estimate, so
-				// flat pricing, DAG simulation, and the discrete-event
-				// engine agree on the same integers.
+				// this pricer and the charge walk agree on the same
+				// integers.
 				pairs, nnzABC := s.ApproxABCPairs(nnz)
-				meta, pay := abcFns(pairs, op.Cols)
-				x := buildSparseCensus(s.P, meta, pay)
+				x, meta, pay := abcCensus(s.P, pairs, op.Cols)
 				var worst float64
 				for r := 0; r < s.P; r++ {
 					if t := h.SpMMTime(nnzABC[r], op.Cols); t > worst {

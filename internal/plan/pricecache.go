@@ -11,7 +11,7 @@ import (
 // PriceCache memoizes the quadratic work of exact DAG pricing so that
 // repeated pricing of the same problem shape — every epoch of a
 // multi-epoch price, both executors of PriceDAGEpochs, all sixteen
-// Table IV orderings of a sweep, and the discrete-event engine
+// Table IV orderings of a sweep, and the discrete-event backend
 // (internal/sim) replaying the same schedule — computes each
 // redistribution's P×P byte census and its topology-routed all-to-all
 // cost exactly once. At P=4096 this is the difference between a sweep
@@ -34,14 +34,14 @@ type PriceCache struct {
 	bound bool
 
 	ranges map[rangeKey]*rangeSet
-	exch   map[exchKey]*ExchangeCensus
+	exch   map[exchKey]*exchangeCensus
 	a2a    map[exchKey]topo.Cost
 
 	// Sparse-exchange memoization (sparse.go). Keys carry the live-set
 	// identity (N, Live, SparseSeed) — one cache serves sweeps that mix
 	// densities.
 	liveSets map[liveSetKey][]int32
-	sx       map[sparseExchKey]*SparseExchangeCensus
+	sx       map[sparseExchKey]*sparseExchangeCensus
 	sa2a     map[sparseA2AKey]topo.Cost
 }
 
@@ -50,21 +50,21 @@ type PriceCache struct {
 func NewPriceCache() *PriceCache {
 	return &PriceCache{
 		ranges:   make(map[rangeKey]*rangeSet),
-		exch:     make(map[exchKey]*ExchangeCensus),
+		exch:     make(map[exchKey]*exchangeCensus),
 		a2a:      make(map[exchKey]topo.Cost),
 		liveSets: make(map[liveSetKey][]int32),
-		sx:       make(map[sparseExchKey]*SparseExchangeCensus),
+		sx:       make(map[sparseExchKey]*sparseExchangeCensus),
 		sa2a:     make(map[sparseA2AKey]topo.Cost),
 	}
 }
 
-// ExchangeCensus is the per-rank byte census of one from→to regrid:
+// exchangeCensus is the per-rank byte census of one from→to regrid:
 // what each rank packs for others (Div) and unpacks from others (Mer),
 // self excluded; the busiest injector (MaxInj, the flat time model's
 // argument); and the summed cross-pair bytes (Total, the flat metered
 // volume). Callers must treat the slices as read-only — they are
 // shared by every cache hit.
-type ExchangeCensus struct {
+type exchangeCensus struct {
 	Div, Mer []int64
 	MaxInj   int64
 	Total    int64
@@ -87,11 +87,11 @@ type exchKey struct {
 	packed     bool
 }
 
-// Bind fixes the cache's pricing context. The first call binds; later
+// bind fixes the cache's pricing context. The first call binds; later
 // calls with an identical context are no-ops, and a different context
-// panics (memoized entries would be silently wrong). PriceDAGEpochs
-// and sim.Run bind automatically.
-func (c *PriceCache) Bind(p int, h *hw.Model, tp *topo.Topology) {
+// panics (memoized entries would be silently wrong). Every walk binds
+// its cache on entry.
+func (c *PriceCache) bind(p int, h *hw.Model, tp *topo.Topology) {
 	if !c.bound {
 		c.p, c.h, c.tp, c.bound = p, h, tp, true
 		return
@@ -120,12 +120,12 @@ func (c *PriceCache) rangesFor(l dist.Layout, rows, cols int) *rangeSet {
 	return rs
 }
 
-// Exchange returns the memoized byte census of a from→to regrid of a
+// exchange returns the memoized byte census of a from→to regrid of a
 // rows×cols matrix. Layouts must be normalized for the bound P (the
-// DAG walk and the sim engine only hold normalized layouts). With
+// charge walk only holds normalized layouts). With
 // packed=true chunks are byte-packed masks (four elements per
 // transmitted float32), matching Schedule.exchange.
-func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool) *ExchangeCensus {
+func (c *PriceCache) exchange(from, to dist.Layout, rows, cols int, packed bool) *exchangeCensus {
 	c.mustBind()
 	k := exchKey{from, to, rows, cols, packed}
 	if e, ok := c.exch[k]; ok {
@@ -134,7 +134,7 @@ func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool)
 	p := c.p
 	fr := c.rangesFor(from, rows, cols)
 	tr := c.rangesFor(to, rows, cols)
-	e := &ExchangeCensus{Div: make([]int64, p), Mer: make([]int64, p)}
+	e := &exchangeCensus{Div: make([]int64, p), Mer: make([]int64, p)}
 	for r := 0; r < p; r++ {
 		arlo, arhi, aclo, achi := fr.rlo[r], fr.rhi[r], fr.clo[r], fr.chi[r]
 		for q := 0; q < p; q++ {
@@ -189,15 +189,15 @@ func (c *PriceCache) pairFn(from, to dist.Layout, rows, cols int, packed bool) f
 	}
 }
 
-// AllToAllCost returns the memoized topology cost of a world all-to-all
+// allToAllCost returns the memoized topology cost of a world all-to-all
 // carrying a from→to regrid's pair volumes, under the fabric's default
 // algorithm policy (topo.Auto). Panics when the cache is bound to the
 // flat interconnect — flat all-to-all costs come from the closed form
-// over Exchange().MaxInj and need no memoization.
-func (c *PriceCache) AllToAllCost(from, to dist.Layout, rows, cols int, packed bool) topo.Cost {
+// over exchange().MaxInj and need no memoization.
+func (c *PriceCache) allToAllCost(from, to dist.Layout, rows, cols int, packed bool) topo.Cost {
 	c.mustBind()
 	if c.tp == nil {
-		panic("plan: AllToAllCost on a flat-bound PriceCache")
+		panic("plan: allToAllCost on a flat-bound PriceCache")
 	}
 	k := exchKey{from, to, rows, cols, packed}
 	if cst, ok := c.a2a[k]; ok {
@@ -214,14 +214,6 @@ func (c *PriceCache) AllToAllCost(from, to dist.Layout, rows, cols int, packed b
 
 func (c *PriceCache) mustBind() {
 	if !c.bound {
-		panic("plan: PriceCache used before Bind")
+		panic("plan: PriceCache used before bind")
 	}
 }
-
-// World returns the all-ranks group [0..P).
-func (s *Schedule) World() []int { return s.world() }
-
-// ColGroup returns the ranks sharing rank's grid column (ascending) —
-// the KSpMM allgather group. Exported for the discrete-event engine,
-// which replays the same groups the executor communicates over.
-func (s *Schedule) ColGroup(rank int) []int { return s.colGroup(rank) }

@@ -5,8 +5,8 @@ import (
 	"gnnrdm/internal/topo"
 )
 
-// ResourceTable is a DAG's per-(node, rank) overlap-resource
-// classification, precomputed once per pricing or simulation run.
+// resourceTable is a DAG's per-(node, rank) overlap-resource
+// classification, precomputed once per walk.
 // OpResource depends on the rank only through its grid column
 // (rank % RA, for KSpMM's column-group allgather); the table stores one
 // resource per column for those nodes and a single resource for every
@@ -14,16 +14,16 @@ import (
 // O(P) slice builds that the pricing loops would otherwise repeat
 // O(nodes × P × epochs) times, quadratic in P at scale — into an array
 // lookup, without changing a single classification.
-type ResourceTable struct {
+type resourceTable struct {
 	ra   int
 	rows [][]hw.Resource
 }
 
-// Resources precomputes OpResource for every node of the DAG under a
+// resources precomputes OpResource for every node of the DAG under a
 // topology (nil = flat).
-func (d *DAG) Resources(tp *topo.Topology) *ResourceTable {
+func (d *DAG) resources(tp *topo.Topology) *resourceTable {
 	s := d.Sched
-	t := &ResourceTable{ra: s.RA, rows: make([][]hw.Resource, len(d.Nodes))}
+	t := &resourceTable{ra: s.RA, rows: make([][]hw.Resource, len(d.Nodes))}
 	for i := range d.Nodes {
 		op := d.Nodes[i].Op
 		if op.Kind == KSpMM {
@@ -39,8 +39,8 @@ func (d *DAG) Resources(tp *topo.Topology) *ResourceTable {
 	return t
 }
 
-// At returns node's resource on rank — OpResource(node's op, rank).
-func (t *ResourceTable) At(node, rank int) hw.Resource {
+// at returns node's resource on rank — OpResource(node's op, rank).
+func (t *resourceTable) at(node, rank int) hw.Resource {
 	row := t.rows[node]
 	if len(row) == 1 {
 		return row[0]

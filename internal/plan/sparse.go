@@ -44,13 +44,13 @@ func (s *Schedule) SparseEligible(from, to dist.Layout) bool {
 		from.Kind != dist.Replicated && to.Kind != dist.Replicated
 }
 
-// SparseExchangeCensus is the per-rank byte census of one two-round
+// sparseExchangeCensus is the per-rank byte census of one two-round
 // sparse exchange: what each rank packs (Div) and unpacks (Mer) per
 // round, self pairs excluded, plus the busiest injector/ejector and
 // summed cross-pair totals per round. Metadata bytes ride the side
 // channel; payload bytes are the primary metered volume. Callers must
 // treat the slices as read-only — cache hits share them.
-type SparseExchangeCensus struct {
+type sparseExchangeCensus struct {
 	MetaDiv, MetaMer, PayDiv, PayMer []int64
 	MetaMaxInj, MetaMaxEj, MetaTotal int64
 	PayMaxInj, PayMaxEj, PayTotal    int64
@@ -59,8 +59,8 @@ type SparseExchangeCensus struct {
 // buildSparseCensus sums per-pair metadata and payload byte functions
 // into the per-rank census. The pair functions follow the fabric's
 // convention (defined for all pairs, self pairs never summed).
-func buildSparseCensus(p int, metaBytes, payBytes func(r, q int) int64) *SparseExchangeCensus {
-	x := &SparseExchangeCensus{
+func buildSparseCensus(p int, metaBytes, payBytes func(r, q int) int64) *sparseExchangeCensus {
+	x := &sparseExchangeCensus{
 		MetaDiv: make([]int64, p), MetaMer: make([]int64, p),
 		PayDiv: make([]int64, p), PayMer: make([]int64, p),
 	}
@@ -129,7 +129,7 @@ func sparseRedistFns(p int, from, to dist.Layout, rows, cols int, live []int32) 
 
 // sparseExchange computes (uncached) the two-round census of one
 // sparse redistribution under the schedule's live set.
-func (s *Schedule) sparseExchange(from, to dist.Layout, rows, cols int, live []int32) *SparseExchangeCensus {
+func (s *Schedule) sparseExchange(from, to dist.Layout, rows, cols int, live []int32) *sparseExchangeCensus {
 	from, to = from.Normalize(s.P), to.Normalize(s.P)
 	meta, pay := sparseRedistFns(s.P, from, to, rows, cols, live)
 	return buildSparseCensus(s.P, meta, pay)
@@ -172,9 +172,9 @@ func (s *Schedule) sparseKey(from, to dist.Layout, rows, cols int) sparseExchKey
 	return sparseExchKey{from.Normalize(s.P), to.Normalize(s.P), rows, cols, s.N, s.Live, s.SparseSeed}
 }
 
-// LiveFor returns the memoized live set of the schedule's (N, Live,
+// liveFor returns the memoized live set of the schedule's (N, Live,
 // SparseSeed) identity. Read-only for callers.
-func (c *PriceCache) LiveFor(s *Schedule) []int32 {
+func (c *PriceCache) liveFor(s *Schedule) []int32 {
 	k := liveSetKey{s.N, s.Live, s.SparseSeed}
 	if lv, ok := c.liveSets[k]; ok {
 		return lv
@@ -184,27 +184,27 @@ func (c *PriceCache) LiveFor(s *Schedule) []int32 {
 	return lv
 }
 
-// SparseExchange returns the memoized two-round census of a sparse
+// sparseExchange returns the memoized two-round census of a sparse
 // from→to redistribution under the schedule's live set. Layouts must
 // be normalized for the bound P.
-func (c *PriceCache) SparseExchange(s *Schedule, from, to dist.Layout, rows, cols int) *SparseExchangeCensus {
+func (c *PriceCache) sparseExchange(s *Schedule, from, to dist.Layout, rows, cols int) *sparseExchangeCensus {
 	c.mustBind()
 	k := s.sparseKey(from, to, rows, cols)
 	if x, ok := c.sx[k]; ok {
 		return x
 	}
-	x := s.sparseExchange(from, to, rows, cols, c.LiveFor(s))
+	x := s.sparseExchange(from, to, rows, cols, c.liveFor(s))
 	c.sx[k] = x
 	return x
 }
 
-// SparseAllToAllCost returns the memoized topology cost of one round
+// sparseAllToAllCost returns the memoized topology cost of one round
 // (metadata or payload) of a sparse redistribution. Panics on a
-// flat-bound cache, like AllToAllCost.
-func (c *PriceCache) SparseAllToAllCost(s *Schedule, from, to dist.Layout, rows, cols int, metaRound bool) topo.Cost {
+// flat-bound cache, like allToAllCost.
+func (c *PriceCache) sparseAllToAllCost(s *Schedule, from, to dist.Layout, rows, cols int, metaRound bool) topo.Cost {
 	c.mustBind()
 	if c.tp == nil {
-		panic("plan: SparseAllToAllCost on a flat-bound PriceCache")
+		panic("plan: sparseAllToAllCost on a flat-bound PriceCache")
 	}
 	k := sparseA2AKey{s.sparseKey(from, to, rows, cols), metaRound}
 	if cst, ok := c.sa2a[k]; ok {
@@ -214,7 +214,7 @@ func (c *PriceCache) SparseAllToAllCost(s *Schedule, from, to dist.Layout, rows,
 	for i := range world {
 		world[i] = i
 	}
-	_, cst := c.tp.AllToAll(c.h, topo.Auto, world, s.sparsePairFn(from, to, rows, cols, c.LiveFor(s), metaRound))
+	_, cst := c.tp.AllToAll(c.h, topo.Auto, world, s.sparsePairFn(from, to, rows, cols, c.liveFor(s), metaRound))
 	c.sa2a[k] = cst
 	return cst
 }
@@ -283,11 +283,13 @@ func (s *Schedule) ApproxABCPairs(nnz int64) (pairs [][]int64, nnzABC []int64) {
 	return pairs, nnzABC
 }
 
-// abcFns returns the per-pair metadata and payload byte functions of a
-// KSpMMABC exchange from its structural census: pairs with no touched
-// rows exchange nothing; active pairs send the EncodeRowSet header
-// plus ids, and the touched rows' full width-column payload.
-func abcFns(pairs [][]int64, width int) (meta, pay func(r, q int) int64) {
+// abcCensus builds the two-round byte census of a KSpMMABC exchange
+// from its structural census, plus the per-pair metadata and payload
+// byte functions in the shape the topology costers and meters consume:
+// pairs with no touched rows exchange nothing; active pairs send the
+// EncodeRowSet header plus ids, and the touched rows' full
+// width-column payload.
+func abcCensus(p int, pairs [][]int64, width int) (x *sparseExchangeCensus, meta, pay func(i, j int) int64) {
 	meta = func(r, q int) int64 {
 		c := pairs[r][q]
 		if c <= 0 {
@@ -298,15 +300,6 @@ func abcFns(pairs [][]int64, width int) (meta, pay func(r, q int) int64) {
 	pay = func(r, q int) int64 {
 		return 4 * pairs[r][q] * int64(width)
 	}
-	return meta, pay
-}
-
-// ABCCensus builds the two-round byte census of a KSpMMABC exchange
-// from its structural census, plus the per-pair metadata and payload
-// byte functions in the shape the topology costers and meters consume.
-// Exported for the discrete-event engine.
-func ABCCensus(p int, pairs [][]int64, width int) (x *SparseExchangeCensus, meta, pay func(i, j int) int64) {
-	meta, pay = abcFns(pairs, width)
 	return buildSparseCensus(p, meta, pay), meta, pay
 }
 

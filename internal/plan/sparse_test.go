@@ -214,7 +214,7 @@ func TestABCPriceConsistency(t *testing.T) {
 			if op.Kind != KSpMMABC {
 				continue
 			}
-			x, _, _ := ABCCensus(abc.P, pairs, op.Cols)
+			x, _, _ := abcCensus(abc.P, pairs, op.Cols)
 			wantMeta += x.MetaTotal
 			wantPay += x.PayTotal
 		}

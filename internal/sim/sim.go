@@ -1,21 +1,14 @@
-// Package sim is the discrete-event execution backend: it replays a
-// compiled schedule's dependency DAG over per-device occupancy lanes
-// (hw.Occupancy — one serial timeline per compute/link resource) and
+// Package sim is the discrete-event execution backend's front door: it
+// validates a run's configuration and replays the compiled schedule's
+// dependency DAG through the one charge walk, plan.DAG.Replay, which
 // produces everything the live fabric would measure — per-device
 // clocks, per-rank communication and compute time, the full per-kind /
 // per-tier byte census, and optional trace events — without ever
-// materializing a payload buffer.
-//
-// The engine is an extraction, not an approximation: the charge
-// sequence is the interpreter's own (internal/core execOp, charge for
-// charge, in order), the rendezvous rule is the fabric's (all member
-// clocks synchronize to max(deposits) + the metering seam's time for
-// the same group and byte census, via comm.Meter), and the overlap
-// lane model is the DAG executor's (ops start at max(resource free,
-// dependency finishes), advance only their resource, and rejoin at
-// epoch boundaries in the same merge order). verify.CheckSimMatchesFabric
-// pins clocks, time accumulators, and all meters bit-identical to live
-// fabric runs for both executors.
+// materializing a payload buffer. The DAG pricer (plan.PriceDAGEpochs)
+// runs the same walk, so a run's clocks are the priced clocks by
+// construction. verify.CheckSimMatchesFabric pins clocks, time
+// accumulators and all meters bit-identical to live fabric runs for
+// both executors.
 //
 // Because no payloads move, a run costs O(ops × P) float arithmetic
 // plus memoized O(P²) redistribution censuses (plan.PriceCache, shared
@@ -27,7 +20,6 @@ package sim
 import (
 	"errors"
 
-	"gnnrdm/internal/comm"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/topo"
@@ -76,74 +68,12 @@ type Config struct {
 	Cache *plan.PriceCache
 }
 
-// Meters is the simulated fabric's byte census, field-for-field the
-// live fabric's accounting (comm.Fabric addVolume): primary and
-// side-channel volume, call counts, and per-link-tier splits, all by
-// collective kind.
-type Meters struct {
-	Volume         [hw.NumCollectiveKinds]int64
-	SideVolume     [hw.NumCollectiveKinds]int64
-	Calls          [hw.NumCollectiveKinds]int64
-	TierVolume     [topo.NumTiers][hw.NumCollectiveKinds]int64
-	SideTierVolume [topo.NumTiers][hw.NumCollectiveKinds]int64
-}
-
-// add replicates Fabric.addVolume: primary or side routing, intra/inter
-// tier split, and the per-kind call counter.
-func (m *Meters) add(kind hw.CollectiveKind, vol comm.Volume, side bool) {
-	if side {
-		m.SideVolume[kind] += vol.Bytes
-		m.SideTierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.SideTierVolume[topo.TierInter][kind] += vol.Tier1
-	} else {
-		m.Volume[kind] += vol.Bytes
-		m.TierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.TierVolume[topo.TierInter][kind] += vol.Tier1
-	}
-	m.Calls[kind]++
-}
-
-// TotalVolume returns all bytes moved including side-channel traffic,
-// matching Fabric.TotalVolume.
-func (m *Meters) TotalVolume() int64 {
-	var s int64
-	for k := range m.Volume {
-		s += m.Volume[k] + m.SideVolume[k]
-	}
-	return s
-}
-
-// TotalSideVolume returns the side-channel bytes across all kinds.
-func (m *Meters) TotalSideVolume() int64 {
-	var s int64
-	for k := range m.SideVolume {
-		s += m.SideVolume[k]
-	}
-	return s
-}
-
-// Result is everything a simulated run measured.
+// Result is everything a simulated run measured: the walk's clocks,
+// per-rank comm/compute accumulators, byte meters and per-epoch
+// snapshots (plan.Walk), on P devices.
 type Result struct {
 	P int
-	// Clocks is each device's final simulated clock (the occupancy
-	// makespan), equal to Device.Clock after the same live run.
-	Clocks []float64
-	// CommTime and ComputeTime are the per-rank accumulators, equal to
-	// Device.CommTime / Device.ComputeTime after the same live run
-	// (including the overlap executor's lane-merge accumulation order).
-	CommTime    []float64
-	ComputeTime []float64
-	// Meters is the final byte census.
-	Meters Meters
-	// EpochClock/EpochComm/EpochCompute are cumulative per-rank
-	// snapshots at each epoch's snapshot point ([epoch][rank]);
-	// EpochBytes is the cumulative total metered volume (including
-	// side-channel) there. Deltas between consecutive epochs reproduce
-	// core.EpochStats exactly when EpochBarriers is 2.
-	EpochClock   [][]float64
-	EpochComm    [][]float64
-	EpochCompute [][]float64
-	EpochBytes   []int64
+	plan.Walk
 }
 
 // MaxClock returns the maximum final clock across devices.
@@ -187,9 +117,15 @@ func Run(cfg Config) (*Result, error) {
 	if pc == nil {
 		pc = plan.NewPriceCache()
 	}
-	e := newEngine(d, cfg, epochs, pc)
-	e.run()
-	return e.result(), nil
+	if cfg.Tracer != nil {
+		label := cfg.TraceLabel
+		if label == "" {
+			label = "sim"
+		}
+		cfg.Tracer.StartVirtualSession(label, d.Sched.P)
+	}
+	w := d.Replay(cfg.Census, cfg.HW, cfg.Topology, epochs, cfg.Overlap, cfg.EpochBarriers, cfg.Tracer, pc)
+	return &Result{P: d.Sched.P, Walk: *w}, nil
 }
 
 // MustRun is Run panicking on a config error.

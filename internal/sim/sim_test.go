@@ -19,11 +19,75 @@ func schedFor(n int, dims []int, cfg, p, ra int, sage bool) *plan.Schedule {
 	}).Optimize()
 }
 
-// TestSimClocksEqualPricer pins the engine's device clocks against
-// plan.PriceDAGEpochs — the exact closed-form replay the live fabric is
-// already verified against — for every Table IV ordering, flat and
-// hierarchical, both executors, sharing one PriceCache per (P, topo)
-// context across all 16 configs the way a sweep would.
+// priceOnMeters is the byte census Schedule.PriceOn predicts for an
+// epochs-epoch run, in the meters' shape: each op's primary bytes
+// under its collective kind, its side bytes (ReLU masks and sparse
+// metadata, all all-to-alls) on the side channel, and both split per
+// link tier — all on the intra-node tier for the flat interconnect,
+// which PriceOn leaves unsplit.
+func priceOnMeters(c plan.Cost, epochs int64, flat bool) plan.Meters {
+	var m plan.Meters
+	for _, oc := range c.PerOp {
+		var prim [hw.NumCollectiveKinds]int64
+		prim[hw.OpAllToAll], prim[hw.OpAllGather], prim[hw.OpAllReduce] = oc.AllToAll, oc.AllGather, oc.AllReduce
+		for k, b := range prim {
+			if b == 0 {
+				continue
+			}
+			tier := oc.Tier
+			if flat {
+				tier = [topo.NumTiers]int64{topo.TierIntra: b}
+			}
+			m.Volume[k] += epochs * b
+			for t := range tier {
+				m.TierVolume[t][k] += epochs * tier[t]
+			}
+		}
+		if oc.Side != 0 {
+			tier := oc.SideTier
+			if flat {
+				tier = [topo.NumTiers]int64{topo.TierIntra: oc.Side}
+			}
+			m.SideVolume[hw.OpAllToAll] += epochs * oc.Side
+			for t := range tier {
+				m.SideTierVolume[t][hw.OpAllToAll] += epochs * tier[t]
+			}
+		}
+	}
+	return m
+}
+
+// checkMetersMatchPriceOn runs both executors of a schedule and checks
+// their meters' primary, side and per-tier volume by collective kind
+// against epochs × Schedule.PriceOn's byte census, exactly.
+func checkMetersMatchPriceOn(t *testing.T, what string, s *plan.Schedule, nnz int64, h *hw.Model, tp *topo.Topology, epochs int, pc *plan.PriceCache) {
+	t.Helper()
+	d := plan.MustBuildDAG(s)
+	cen := s.ApproxCensus(nnz)
+	want := priceOnMeters(s.PriceOn(nnz, h, tp), int64(epochs), tp == nil)
+	for _, overlap := range []bool{false, true} {
+		got := sim.MustRun(sim.Config{
+			DAG: d, Census: cen, HW: h, Topology: tp,
+			Epochs: epochs, Overlap: overlap, Cache: pc,
+		}).Meters
+		if got.Volume != want.Volume || got.SideVolume != want.SideVolume {
+			t.Fatalf("%s overlap=%v: volume %v side %v, PriceOn %v side %v",
+				what, overlap, got.Volume, got.SideVolume, want.Volume, want.SideVolume)
+		}
+		if got.TierVolume != want.TierVolume || got.SideTierVolume != want.SideTierVolume {
+			t.Fatalf("%s overlap=%v: tier volume %v side %v, PriceOn %v side %v",
+				what, overlap, got.TierVolume, got.SideTierVolume, want.TierVolume, want.SideTierVolume)
+		}
+	}
+}
+
+// TestSimClocksEqualPricer pins the charge walk's byte census against
+// the independent closed-form pricer, Schedule.PriceOn, for every
+// Table IV ordering, flat and hierarchical, both executors, sharing one
+// PriceCache per (P, topo) context across all 16 configs the way a
+// sweep would. The walk's clocks are plan.PriceDAGEpochs' by
+// construction; verify.CheckSimMatchesFabric pins them to the live
+// fabric.
 func TestSimClocksEqualPricer(t *testing.T) {
 	h := hw.A6000()
 	dims := []int{16, 12, 8}
@@ -44,25 +108,7 @@ func TestSimClocksEqualPricer(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				for cfg := 0; cfg < costmodel.NumConfigs(len(dims)-1); cfg++ {
 					s := schedFor(n, dims, cfg, p, p, false)
-					d := plan.MustBuildDAG(s)
-					cen := s.ApproxCensus(4 * int64(n))
-					cost := d.PriceDAGEpochsCached(cen, h, tp, epochs, pc)
-					for _, overlap := range []bool{false, true} {
-						res := sim.MustRun(sim.Config{
-							DAG: d, Census: cen, HW: h, Topology: tp,
-							Epochs: epochs, Overlap: overlap, Cache: pc,
-						})
-						want := cost.PerDeviceSeq
-						if overlap {
-							want = cost.PerDevice
-						}
-						for r := 0; r < p; r++ {
-							if res.Clocks[r] != want[r] {
-								t.Fatalf("cfg %d overlap=%v rank %d: sim clock %.17g != priced %.17g",
-									cfg, overlap, r, res.Clocks[r], want[r])
-							}
-						}
-					}
+					checkMetersMatchPriceOn(t, fmt.Sprintf("cfg %d", cfg), s, 4*n, h, tp, epochs, pc)
 				}
 			})
 		}
@@ -72,23 +118,8 @@ func TestSimClocksEqualPricer(t *testing.T) {
 // TestSimClocksEqualPricerSAGE covers the column-group allgather path
 // (RA < P) and the two-weight SAGE schedule.
 func TestSimClocksEqualPricerSAGE(t *testing.T) {
-	h := hw.A6000()
 	s := schedFor(256, []int{16, 12, 8}, 5, 8, 2, true)
-	d := plan.MustBuildDAG(s)
-	cen := s.ApproxCensus(1024)
-	cost := d.PriceDAGEpochs(cen, h, nil, 2)
-	for _, overlap := range []bool{false, true} {
-		res := sim.MustRun(sim.Config{DAG: d, Census: cen, HW: h, Epochs: 2, Overlap: overlap})
-		want := cost.PerDeviceSeq
-		if overlap {
-			want = cost.PerDevice
-		}
-		for r := range want {
-			if res.Clocks[r] != want[r] {
-				t.Fatalf("overlap=%v rank %d: sim clock %.17g != priced %.17g", overlap, r, res.Clocks[r], want[r])
-			}
-		}
-	}
+	checkMetersMatchPriceOn(t, "sage", s, 1024, hw.A6000(), nil, 2, nil)
 }
 
 // TestSimBarriersExtendClocks checks the TrainResumable protocol

@@ -7,7 +7,6 @@ import (
 	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
-	"gnnrdm/internal/sim"
 	"gnnrdm/internal/topo"
 )
 
@@ -23,10 +22,9 @@ func sparseSchedFor(n int, dims []int, cfg, p, live int, abc bool) *plan.Schedul
 	return s
 }
 
-// TestSimClocksEqualPricerSparse extends the engine-vs-pricer clock pin
-// to sparse schedules (two-round exchanges) and ABC-rewritten ones
-// (KSpMMABC): both executors, flat and hierarchical, bit-identical
-// clocks, with the metered volumes matching the pricer's byte totals.
+// TestSimClocksEqualPricerSparse extends the walk-vs-PriceOn byte
+// census pin to sparse schedules (two-round exchanges) and
+// ABC-rewritten ones (KSpMMABC): both executors, flat and hierarchical.
 func TestSimClocksEqualPricerSparse(t *testing.T) {
 	h := hw.A6000()
 	dims := []int{16, 12, 8}
@@ -46,37 +44,14 @@ func TestSimClocksEqualPricerSparse(t *testing.T) {
 			}
 			pc := plan.NewPriceCache()
 			t.Run(name, func(t *testing.T) {
+				abcOps := 0
 				for _, cfg := range []int{2, 3, 10, 15} { // DenseFirst forward layers
 					s := sparseSchedFor(n, dims, cfg, p, 32, abc)
-					d := plan.MustBuildDAG(s)
-					cen := s.ApproxCensus(nnz)
-					cost := d.PriceDAGEpochsCached(cen, h, tp, epochs, pc)
-					for _, overlap := range []bool{false, true} {
-						res := sim.MustRun(sim.Config{
-							DAG: d, Census: cen, HW: h, Topology: tp,
-							Epochs: epochs, Overlap: overlap, Cache: pc,
-						})
-						want := cost.PerDeviceSeq
-						if overlap {
-							want = cost.PerDevice
-						}
-						for r := 0; r < p; r++ {
-							if res.Clocks[r] != want[r] {
-								t.Fatalf("cfg %d overlap=%v rank %d: sim clock %.17g != priced %.17g",
-									cfg, overlap, r, res.Clocks[r], want[r])
-							}
-						}
-						// Meters must also agree with the aggregate pricer's
-						// byte totals (volumes are per-epoch invariant).
-						c := s.PriceOn(nnz, h, tp)
-						primary := res.Meters.TotalVolume() - res.Meters.TotalSideVolume()
-						if w := int64(epochs) * (c.RDMBytes() + c.AllReduce); primary != w {
-							t.Fatalf("cfg %d overlap=%v: sim primary volume %d != priced %d", cfg, overlap, primary, w)
-						}
-						if side, w := res.Meters.TotalSideVolume(), int64(epochs)*c.Side; side != w {
-							t.Fatalf("cfg %d overlap=%v: sim side volume %d != priced %d", cfg, overlap, side, w)
-						}
-					}
+					abcOps += s.CountKind(plan.KSpMMABC)
+					checkMetersMatchPriceOn(t, fmt.Sprintf("cfg %d", cfg), s, nnz, h, tp, epochs, pc)
+				}
+				if abc && abcOps == 0 {
+					t.Fatal("precondition: no ABC-rewritten schedule holds a KSpMMABC op")
 				}
 			})
 		}
